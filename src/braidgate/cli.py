@@ -1,23 +1,26 @@
 """Command-line surface: every verifier, invariant, and simulation.
 
 Verbs: ybe, gate, braid, invariant, sim, catalog, selftest.  JSON is the
-machine interface (keys sorted, deterministic for fixed flags and seed);
-the selftest table is the one human-first rendering.  Exit codes: 0
-success, 1 verification failure, 2 usage error, 3 guard exceeded.  The
-env var BRAIDGATE_TOL overrides default tolerances.
+machine interface (keys sorted, deterministic for fixed flags and seed,
+strict JSON with no NaN or Infinity); the selftest table is the one
+human-first rendering.  Exit codes: 0 success, 1 verification failure,
+2 usage error, 3 guard exceeded; ``_domain_errors`` is the one place that
+maps the package's exceptions onto them.  The env var BRAIDGATE_TOL
+overrides default tolerances; a tolerance must be finite and >= 0.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import sys
 
 import click
 import numpy as np
 
-from . import __version__, gates, invariants, quantum, rep, tensor
+from . import __version__, gates, invariants, quantum, tensor
 from .braid import BraidWord, braid_to_json, markov_conjugate, markov_stabilize, parse_braid
 from .errors import GuardError, SingularBracketError, ZeroProbabilityError
 from .invariants import BracketParams, bracket3, bracket_oracle, link_names, link_word, tau
@@ -34,11 +37,14 @@ def _default_tol(fallback: float) -> float:
 
 
 def _pick_tol(explicit: float | None, fallback: float) -> float:
-    return explicit if explicit is not None else _default_tol(fallback)
+    tol = explicit if explicit is not None else _default_tol(fallback)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise click.UsageError(f"tolerance must be finite and >= 0, got {tol!r}")
+    return tol
 
 
 def _emit(obj) -> None:
-    click.echo(json.dumps(obj, sort_keys=True))
+    click.echo(json.dumps(obj, sort_keys=True, allow_nan=False))
 
 
 def _c(z) -> list[float]:
@@ -51,7 +57,9 @@ def _vec(v) -> list[list[float]]:
 
 
 def _domain_errors(fn):
-    """Map domain exceptions to the documented exit codes."""
+    """Map exceptions to the documented exit codes: a guard exceeded
+    exits 3, a failed domain check exits 1, and any other ValueError is a
+    usage error (exit 2)."""
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -63,15 +71,10 @@ def _domain_errors(fn):
         except (SingularBracketError, ZeroProbabilityError, AssertionError) as exc:
             _emit({"error": str(exc)})
             sys.exit(1)
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from None
 
     return wrapper
-
-
-def _parse_word(text: str) -> BraidWord:
-    try:
-        return parse_braid(text)
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
 
 
 def _parse_complex(text: str, flag: str) -> complex:
@@ -198,7 +201,7 @@ def gate_cmd(gate_name, matrix_file, classify, decompose_verify, tol) -> None:
 @_domain_errors
 def braid(word) -> None:
     """Echo a braid word with its closure data (components, writhe, linking)."""
-    _emit(braid_to_json(_parse_word(word)))
+    _emit(braid_to_json(parse_braid(word)))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +230,7 @@ def invariant(word, link_name, kind, a_weight, c_weight, theta, a_var, check_ora
         except KeyError as exc:
             raise click.UsageError(exc.args[0]) from None
     else:
-        b = _parse_word(word)
+        b = parse_braid(word)
 
     if kind == "tau":
         value = tau(b)
@@ -249,10 +252,7 @@ def invariant(word, link_name, kind, a_weight, c_weight, theta, a_var, check_ora
             raise click.UsageError("--kind linking needs --a and --c")
         a = _parse_complex(a_weight, "--a")
         c = _parse_complex(c_weight, "--c")
-        try:
-            sigma, z = invariants.linking_state_sum(b, a, c)
-        except ValueError as exc:
-            raise click.UsageError(str(exc)) from None
+        sigma, z = invariants.linking_state_sum(b, a, c)
         info = braid_to_json(b)
         _emit(
             {
@@ -272,12 +272,7 @@ def invariant(word, link_name, kind, a_weight, c_weight, theta, a_var, check_ora
         if theta is not None
         else BracketParams.from_A(_parse_complex(a_var, "--A"))
     )
-    try:
-        value = bracket3(b, params)
-    except ValueError as exc:
-        if isinstance(exc, (SingularBracketError, GuardError)):
-            raise
-        raise click.UsageError(str(exc)) from None
+    value = bracket3(b, params)
     report = {
         "A": _c(params.A),
         "d": _c(params.d),
@@ -315,13 +310,8 @@ def sim() -> None:
 def trace(gate_name, matrix_file, shots, seed) -> None:
     """Estimate |tr U|^2 / 4^n by sampling the cup-state measurement."""
     m, _ = _resolve(gate_name, matrix_file)
-    try:
-        exact = quantum.exact_trace_probability(m)
-        est, stderr = quantum.sample_trace_probability(m, shots, seed)
-    except ValueError as exc:
-        if isinstance(exc, GuardError):
-            raise
-        raise click.UsageError(str(exc)) from None
+    exact = quantum.exact_trace_probability(m)
+    est, stderr = quantum.sample_trace_probability(m, shots, seed)
     _emit({"exact_p": exact, "estimate": est, "stderr": stderr, "shots": shots, "seed": seed})
 
 
@@ -345,12 +335,7 @@ def teleport(n_qubits, gate_name, matrix_file, psi_text, seed) -> None:
     else:
         rng = np.random.default_rng((seed, 1))
         psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    try:
-        received, bits = quantum.teleport_protocol(m, psi, seed)
-    except ValueError as exc:
-        if isinstance(exc, (GuardError, ZeroProbabilityError)):
-            raise
-        raise click.UsageError(str(exc)) from None
+    received, bits = quantum.teleport_protocol(m, psi, seed)
     _emit(
         {
             "n": n_qubits,
@@ -378,12 +363,7 @@ def project(state_name, psi_text, qubit, bit) -> None:
     else:
         psi = _parse_state(psi_text)
         label = "custom"
-    try:
-        result = quantum.project_qubit(psi, qubit, bit)
-    except ValueError as exc:
-        if isinstance(exc, (GuardError, ZeroProbabilityError)):
-            raise
-        raise click.UsageError(str(exc)) from None
+    result = quantum.project_qubit(psi, qubit, bit)
     verdict = {True: "entangled", False: "unentangled", None: "unclassified"}[result.entangled]
     _emit(
         {

@@ -9,9 +9,12 @@ homomorphism; traces and relation checks do not depend on that choice.
 ``rep_exact`` is an exact backend for the specific Bell-basis operator R:
 sqrt(2) * R is an integer matrix, so the product over a word of length L
 is an integer matrix divided by sqrt(2)^L.  ``ExactScaledMatrix`` stores
-exactly that: int64 entries plus the global exponent.  Entries of an
-L-letter product are bounded by 2^L, so the backend guards L <= 60 to
-stay inside int64.
+exactly that: int64 entries plus the global exponent.  sqrt(2) * R is
+sqrt(2) times an orthogonal matrix, so the integer core of an L-letter
+product is sqrt(2)^L times an orthogonal matrix and its entries are
+bounded by 2^(L/2).  The guard L <= 60 (``MAX_EXACT_LETTERS``) is
+therefore far inside int64; it is kept as is until a backend that needs
+no dense product lifts it.
 
 ``circuit_matrix`` evaluates interleaved words of braiding letters and
 single-strand local gates.
@@ -42,19 +45,38 @@ _R_INT = np.array(
 )
 
 
-def _guard_strands(n: int):
+def _apply(m: np.ndarray, gate: np.ndarray, strand: int) -> np.ndarray:
+    """Return m @ placement(gate), where the placement is
+    I^(strand-1) (x) gate (x) I^(...) on (C^2)^n, without forming it.
+
+    The gate is 2x2 (one strand) or 4x4 (strands strand, strand+1).  On
+    the view m[row, left, k, right] only the k axis is contracted, which
+    is one batched matmul: gate^T @ m.reshape(dim * left, k, right).
+    """
+    dim, k = m.shape[0], gate.shape[0]
+    cols = m.reshape(dim * 2 ** (strand - 1), k, -1)
+    return (gate.T @ cols).reshape(dim, dim)
+
+
+def _product(n: int, factors, dtype) -> np.ndarray:
+    """The product, left to right, of the placed (gate, strand) factors
+    on n strands, starting from the identity."""
     if n > MAX_STRANDS:
         raise GuardError(f"{n} strands exceed the dense-matrix guard ({MAX_STRANDS})")
+    m = np.eye(2**n, dtype=dtype)
+    for gate, strand in factors:
+        m = _apply(m, gate, strand)
+    return m
 
 
-def _apply_right(m: np.ndarray, g4: np.ndarray, i: int, n: int) -> np.ndarray:
-    """Return m @ placement(g4 at strands i, i+1) without forming the
-    2^n x 2^n placement (contract the two affected column axes only)."""
-    dim = m.shape[0]
-    left = 2 ** (i - 1)
-    right = 2 ** (n - i - 1)
-    cols = m.reshape(dim, left, 4, right)
-    return np.einsum("rapc,pq->raqc", cols, g4).reshape(dim, dim)
+def _braiding_pair(r) -> tuple[np.ndarray, np.ndarray]:
+    """A 4x4 braiding operator and the matrix used for its inverse
+    letters: the conjugate transpose when r is unitary, the matrix
+    inverse otherwise."""
+    r = as_matrix(r)
+    if r.shape[0] != 4:
+        raise ValueError("braiding operator must be 4x4")
+    return r, (r.conj().T if is_unitary(r, 1e-9) else np.linalg.inv(r))
 
 
 def rep_matrix(b: BraidWord, r) -> np.ndarray:
@@ -63,16 +85,8 @@ def rep_matrix(b: BraidWord, r) -> np.ndarray:
     Inverse letters use r's conjugate transpose when r is unitary and the
     matrix inverse otherwise.
     """
-    r = as_matrix(r)
-    if r.shape[0] != 4:
-        raise ValueError("braiding operator must be 4x4")
-    _guard_strands(b.n)
-    r_inv = r.conj().T if is_unitary(r, 1e-9) else np.linalg.inv(r)
-    dim = 2**b.n
-    m = np.eye(dim, dtype=complex)
-    for g in b.letters:
-        m = _apply_right(m, r if g > 0 else r_inv, abs(g), b.n)
-    return m
+    r, r_inv = _braiding_pair(r)
+    return _product(b.n, ((r if g > 0 else r_inv, abs(g)) for g in b.letters), complex)
 
 
 @dataclass(frozen=True)
@@ -117,18 +131,13 @@ def rep_exact(b: BraidWord) -> ExactScaledMatrix:
     The result has scale_exp = word length; inverse letters contribute the
     transpose of the integer core (R is real orthogonal).
     """
-    _guard_strands(b.n)
     if len(b.letters) > MAX_EXACT_LETTERS:
         raise GuardError(
             f"word length {len(b.letters)} exceeds the exact-backend guard "
             f"({MAX_EXACT_LETTERS})"
         )
-    dim = 2**b.n
-    m = np.eye(dim, dtype=np.int64)
-    for g in b.letters:
-        core = _R_INT if g > 0 else _R_INT.T
-        m = _apply_right(m, core, abs(g), b.n)
-    return ExactScaledMatrix(dim, m, len(b.letters))
+    factors = ((_R_INT if g > 0 else _R_INT.T, abs(g)) for g in b.letters)
+    return ExactScaledMatrix(2**b.n, _product(b.n, factors, np.int64), len(b.letters))
 
 
 # ---------------------------------------------------------------------------
@@ -169,31 +178,17 @@ class ExtendedCircuit:
                 raise TypeError(f"unexpected circuit item {item!r}")
 
 
-def _apply_right_local(m: np.ndarray, g2: np.ndarray, i: int, n: int) -> np.ndarray:
-    dim = m.shape[0]
-    left = 2 ** (i - 1)
-    right = 2 ** (n - i)
-    cols = m.reshape(dim, left, 2, right)
-    return np.einsum("rapc,pq->raqc", cols, g2).reshape(dim, dim)
-
-
 def circuit_matrix(c: ExtendedCircuit, r) -> np.ndarray:
     """Evaluate an extended circuit: items compose in order, with the same
     leftmost-first convention as rep_matrix."""
-    r = as_matrix(r)
-    if r.shape[0] != 4:
-        raise ValueError("braiding operator must be 4x4")
-    _guard_strands(c.n)
-    r_inv = r.conj().T if is_unitary(r, 1e-9) else np.linalg.inv(r)
-    dim = 2**c.n
-    m = np.eye(dim, dtype=complex)
-    for item in c.items:
-        if isinstance(item, BraidItem):
-            g = item.letter
-            m = _apply_right(m, r if g > 0 else r_inv, abs(g), c.n)
-        else:
-            m = _apply_right_local(m, item.gate, item.strand, c.n)
-    return m
+    r, r_inv = _braiding_pair(r)
+    factors = (
+        (r if item.letter > 0 else r_inv, abs(item.letter))
+        if isinstance(item, BraidItem)
+        else (item.gate, item.strand)
+        for item in c.items
+    )
+    return _product(c.n, factors, complex)
 
 
 def circuit_to_json(c: ExtendedCircuit) -> dict:

@@ -31,20 +31,9 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def matmul(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a @ b
-
-
 def dagger(a) -> np.ndarray:
     """Conjugate transpose."""
     return as_matrix(a).conj().T
-
-
-def trace(a) -> complex:
-    return complex(np.trace(as_matrix(a)))
 
 
 def max_norm(a) -> float:

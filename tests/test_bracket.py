@@ -112,13 +112,16 @@ def test_oracle_curl_value():
 
 @given(seeds)
 def test_bracket_matches_the_state_sum(seed):
+    """bracket3 is ill-conditioned near d = 0 (U2 has 1/d entries), so its
+    error is bounded relative to |d|^-2; the state sum has no division."""
     rng = np.random.default_rng(seed)
     b = _random_word3(rng, 8)
     theta = rng.uniform(-1.0, 1.0)
     if abs(abs(theta) - np.pi / 4) < 1e-3:
         theta = 0.3
     p = BracketParams.from_theta(theta)
-    assert abs(bracket3(b, p) - bracket_oracle(b, p)) < 1e-9
+    tol = 1e-12 * max(1.0, abs(p.d) ** -2)
+    assert abs(bracket3(b, p) - bracket_oracle(b, p)) <= tol
 
 
 def test_oracle_word_length_guard():

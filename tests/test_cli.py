@@ -59,6 +59,17 @@ def test_ybe_tolerance_env_override(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("source", ["env", "flag"])
+def test_ybe_rejects_non_finite_or_negative_tolerance(runner, value, source):
+    if source == "env":
+        result = invoke(runner, "ybe", "R", env={"BRAIDGATE_TOL": value})
+    else:
+        result = invoke(runner, "ybe", "R", "--tol", value)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+
+
 def test_ybe_explicit_tol_beats_env(runner):
     result = invoke(
         runner, "ybe", "R", "--tol", "1e-12", env={"BRAIDGATE_TOL": "1e-20"}
@@ -170,6 +181,14 @@ def test_invariant_tau_golden(runner):
 
 def test_invariant_tau_guard_exit(runner):
     assert invoke(runner, "invariant", "n=13; 1", "--kind", "tau").exit_code == 3
+
+
+def test_invariant_linking_guard_exit(runner):
+    result = invoke(
+        runner, "invariant", "n=22; 1", "--kind", "linking", "--a", "1,0", "--c", "0,1"
+    )
+    assert result.exit_code == 3
+    assert "components exceed" in json.loads(result.stdout)["error"]
 
 
 def test_invariant_linking(runner):

@@ -3,7 +3,7 @@ extended circuits with interleaved local gates."""
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from braidgate import (
     CNOT,
@@ -145,6 +145,74 @@ def test_exact_length_guard():
 def test_operator_shape_check():
     with pytest.raises(ValueError):
         rep_matrix(BraidWord(2, (1,)), np.eye(2))
+
+
+# ---------------------------------------------------------------------------
+# Kronecker oracle: every letter's full placement, multiplied out
+# ---------------------------------------------------------------------------
+
+_R_INT = np.array([[1, 0, 0, 1], [0, 1, -1, 0], [0, 1, 1, 0], [-1, 0, 0, 1]])
+
+
+def _placed(n, gate, strand):
+    """I_{2^(strand-1)} (x) gate (x) I_{...} as a full 2^n x 2^n matrix."""
+    width = gate.shape[0].bit_length() - 1
+    left = np.eye(2 ** (strand - 1), dtype=gate.dtype)
+    right = np.eye(2 ** (n - strand - width + 1), dtype=gate.dtype)
+    return np.kron(np.kron(left, gate), right)
+
+
+def _kron_product(n, factors, dtype):
+    m = np.eye(2**n, dtype=dtype)
+    for gate, strand in factors:
+        m = m @ _placed(n, gate, strand)
+    return m
+
+
+def _random_unitary(rng, dim):
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q
+
+
+@st.composite
+def _circuits(draw):
+    """An extended circuit on n <= 6 strands; local gates are random unitaries."""
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(seeds))
+    letter = st.integers(1, n - 1).flatmap(lambda g: st.sampled_from((g, -g)))
+    items = draw(
+        st.lists(
+            st.one_of(
+                letter.map(BraidItem),
+                st.integers(1, n).map(lambda k: LocalItem(k, _random_unitary(rng, 2))),
+            ),
+            max_size=14,
+        )
+    )
+    return ExtendedCircuit(n, tuple(items))
+
+
+@settings(deadline=None)
+@given(_circuits(), seeds)
+def test_builders_match_the_kronecker_oracle(c, seed):
+    r = _random_unitary(np.random.default_rng(seed), 4)
+    letters = tuple(item.letter for item in c.items if isinstance(item, BraidItem))
+    b = BraidWord(c.n, letters)
+
+    cores = ((_R_INT if g > 0 else _R_INT.T, abs(g)) for g in letters)
+    assert np.array_equal(rep_exact(b).ints, _kron_product(c.n, cores, np.int64))
+
+    for op in (R, r):
+        inv = op.conj().T
+        dense = _kron_product(c.n, ((op if g > 0 else inv, abs(g)) for g in letters), complex)
+        assert residual(rep_matrix(b, op), dense) <= 1e-12
+        factors = (
+            (op if item.letter > 0 else inv, abs(item.letter))
+            if isinstance(item, BraidItem)
+            else (item.gate, item.strand)
+            for item in c.items
+        )
+        assert residual(circuit_matrix(c, op), _kron_product(c.n, factors, complex)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
