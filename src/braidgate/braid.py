@@ -11,12 +11,18 @@ computes (components, writhe, linking numbers) refers to that closure.
 Text syntax: whitespace-separated signed integers, optionally prefixed
 by ``n=K;`` to fix the strand count (needed for identity braids or for
 padding with unused strands).  Without the prefix the strand count is
-max|g| + 1.
+max|g| + 1.  Parsed words have at most ``MAX_BRAID_STRANDS`` strands,
+because the closure's linking table grows as the square of the strand
+count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from .errors import GuardError
+
+MAX_BRAID_STRANDS = 256
 
 
 @dataclass(frozen=True)
@@ -100,6 +106,8 @@ def parse_braid(text: str) -> BraidWord:
         if not letters:
             raise ValueError("empty word needs an explicit strand count (use 'n=K;')")
         n_fixed = max(abs(g) for g in letters) + 1
+    if n_fixed > MAX_BRAID_STRANDS:
+        raise GuardError(f"{n_fixed} strands exceed the braid guard ({MAX_BRAID_STRANDS})")
     return BraidWord(n_fixed, tuple(letters))
 
 

@@ -1,11 +1,13 @@
 """Measurement protocols built on the maximally entangled pair state.
 
 The n-qubit cup state |delta> = sum_x |x>|x> ties two n-qubit registers
-together.  Applying a gate to one side and closing with <delta| computes
-the matrix trace (trace_amplitude); measuring the first two registers of
-psi (x) delta against the functional <M| = sum M[a,b] <a|<b| leaves
+together.  Applying a gate to one side and closing with <delta| gives
+the matrix trace (trace_amplitude); measuring the first two registers
+of psi (x) delta against the functional <M| = sum M[a,b] <a|<b| leaves
 M^T psi on the third register (measure_apply), which is the engine of
-the gate-teleportation protocol (teleport_protocol).  The measurement
+the gate-teleportation protocol (teleport_protocol).  Each protocol is
+evaluated through these closed forms; the literal contractions on the
+doubled registers are the test suite's oracles.  The measurement
 bases there are the sets {M, X M, Y M, Z M} built from the modified
 Pauli triple
 
@@ -26,13 +28,12 @@ disentangles the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
 from .errors import GuardError, ZeroProbabilityError
 from .gates import MOD_X, MOD_Y, MOD_Z
-from .tensor import EXACT_EPS, PHASE_EPS, as_matrix, equal_up_to_phase, is_unitary
+from .tensor import PHASE_EPS, as_matrix, equal_up_to_phase, is_unitary
 
 MAX_DELTA_QUBITS = 10
 MAX_TELEPORT_QUBITS = 3
@@ -68,22 +69,14 @@ def make_delta(n: int, normalized: bool = False) -> np.ndarray:
 
 
 def trace_amplitude(u: np.ndarray) -> complex:
-    """<delta| (U (x) I) |delta>, contracted literally on the doubled
-    register; asserted against the plain matrix trace before returning."""
+    """<delta| (U (x) I) |delta>, which is the matrix trace of U: the cup
+    pairs each basis vector of the first register with its copy."""
     u = as_matrix(u)
     dim = u.shape[0]
     n = _qubit_count(dim)
     if n > MAX_DELTA_QUBITS:
         raise GuardError(f"dimension {dim} exceeds the delta-state guard")
-    delta = make_delta(n)
-    # U (x) I acts on the left index of the doubled register: reshape the
-    # cup into a matrix, hit it with U, flatten back.
-    acted = (u @ delta.reshape(dim, dim)).reshape(-1)
-    amp = complex(np.vdot(delta, acted))
-    direct = complex(np.trace(u))
-    if abs(amp - direct) > EXACT_EPS * max(1.0, abs(direct)):
-        raise AssertionError(f"contraction {amp} disagrees with trace {direct}")
-    return amp
+    return complex(np.trace(u))
 
 
 def exact_trace_probability(u: np.ndarray) -> float:
@@ -117,10 +110,8 @@ def measure_apply(m: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, float]:
     registers of psi (x) delta.
 
     Returns the (unnormalized) residual state of the last register,
-    which equals M^T @ psi — computed both in closed form and by the
-    literal three-register contraction when small enough, asserted equal
-    — and the outcome weight ||out||^2 / (||psi||^2 2^n), which is the
-    Born probability when M has unit Frobenius norm and psi is
+    M^T @ psi, and the outcome weight ||out||^2 / (||psi||^2 2^n), which
+    is the Born probability when M has unit Frobenius norm and psi is
     normalized.
     """
     m = as_matrix(m)
@@ -129,14 +120,6 @@ def measure_apply(m: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, float]:
     if psi.shape[0] != dim:
         raise ValueError(f"state dimension {psi.shape[0]} != matrix dimension {dim}")
     out = m.T @ psi
-    if dim <= 8:
-        # independent route: build psi (x) delta literally and pair the
-        # functional's coefficients against the first two registers
-        full = np.einsum("a,bc->abc", psi, np.eye(dim, dtype=complex))
-        oracle = np.einsum("ab,abc->c", m, full)
-        scale = max(1.0, float(np.max(np.abs(out))))
-        if np.max(np.abs(out - oracle)) > EXACT_EPS * scale:
-            raise AssertionError("closed form disagrees with the literal contraction")
     norm2 = float(np.vdot(psi, psi).real)
     prob = float(np.vdot(out, out).real) / (norm2 * dim) if norm2 > 0 else 0.0
     return out, prob
@@ -174,10 +157,11 @@ def teleport_protocol(
     The sender measures the first two registers of psi (x) delta in the
     basis of functionals <T_ab U| (orthogonal by the modified-Pauli
     structure), broadcasts the 2n outcome bits, and the receiver applies
-    the correction U (T_ab U)^(-T).  Outcomes are sampled with their
-    exact Born probabilities (uniform 1/4^n for unitary U).  Returns the
-    corrected state — asserted equal to U psi up to global phase — and
-    the outcome bits (alpha_1..alpha_n, beta_1..beta_n).
+    the correction U (T_ab U)^(-T).  The outcome is drawn from its exact
+    Born distribution, uniform 1/4^n for unitary U, and only that branch
+    is computed.  Returns the corrected state, checked equal to U psi up
+    to global phase, and the outcome bits (alpha_1..alpha_n,
+    beta_1..beta_n).
     """
     u = as_matrix(u)
     psi = np.asarray(psi, dtype=complex).reshape(-1)
@@ -194,26 +178,17 @@ def teleport_protocol(
         raise ZeroProbabilityError("cannot teleport the zero vector")
     psi = psi / nrm
 
-    outcomes = list(product((0, 1), repeat=2 * n))
-    outs = []
-    born = []
-    for bits in outcomes:
-        w = _t_unitary(bits[:n], bits[n:]) @ u
-        out, _ = measure_apply(w, psi)
-        outs.append(out)
-        # each functional has Frobenius norm sqrt(2^n), the cup another
-        # sqrt(2^n): the Born weight is ||out||^2 / 4^n
-        born.append(float(np.vdot(out, out).real) / dim**2)
-    total = float(sum(born))
-    if abs(total - 1.0) > EXACT_EPS:
-        raise AssertionError(f"outcome probabilities sum to {total}, not 1")
-
+    # T_ab U is unitary, so ||out|| = ||psi|| = 1 on every branch; with the
+    # functional's and the cup's norms (sqrt(2^n) each) every one of the
+    # 4^n outcomes has Born weight exactly 1/4^n.  Draw first, then build
+    # only the drawn branch.
     rng = np.random.default_rng(seed)
-    k = int(rng.choice(len(outcomes), p=np.array(born) / total))
-    bits = outcomes[k]
+    k = int(rng.choice(4**n, p=np.full(4**n, 4.0**-n)))
+    bits = tuple((k >> (2 * n - 1 - i)) & 1 for i in range(2 * n))
     w = _t_unitary(bits[:n], bits[n:]) @ u
+    out, _ = measure_apply(w, psi)
     correction = u @ np.linalg.inv(w.T)
-    received = correction @ outs[k]
+    received = correction @ out
     received = received / np.linalg.norm(received)
 
     same, _ = equal_up_to_phase(

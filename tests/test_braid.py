@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from braidgate import GuardError
 from braidgate.braid import (
+    MAX_BRAID_STRANDS,
     BraidWord,
     braid_to_json,
     closure_info,
@@ -58,6 +60,14 @@ def test_parse_errors():
         parse_braid("1 q 1")
     with pytest.raises(ValueError):
         parse_braid("n=2; 0")
+
+
+def test_parse_strand_guard():
+    assert parse_braid(f"n={MAX_BRAID_STRANDS};").n == MAX_BRAID_STRANDS
+    assert parse_braid(f"{MAX_BRAID_STRANDS - 1}").n == MAX_BRAID_STRANDS
+    for text in (f"n={MAX_BRAID_STRANDS + 1};", f"1 {MAX_BRAID_STRANDS}", "n=10000000000; 1"):
+        with pytest.raises(GuardError):
+            parse_braid(text)
 
 
 def test_as_text_round_trip():

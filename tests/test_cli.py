@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import braidgate.gates
 from braidgate import CNOT, matrix_to_json
@@ -164,6 +165,13 @@ def test_braid_lists_all_component_pairs(runner):
 def test_braid_rejects_malformed_words(runner):
     assert invoke(runner, "braid", "1 x 2").exit_code == 2
     assert invoke(runner, "braid", "n=2; 5").exit_code == 2
+
+
+@pytest.mark.parametrize("word", ["n=10000000000;", "1 99999999999"])
+def test_braid_strand_guard_exit(runner, word):
+    result = invoke(runner, "braid", word)
+    assert result.exit_code == 3
+    assert "strands exceed" in json.loads(result.stdout)["error"]
 
 
 # ---------------------------------------------------------------------------
@@ -411,3 +419,99 @@ def test_output_is_deterministic(runner):
     assert first.output == second.output
     again = invoke(runner, "invariant", "--link", "whitehead", "--kind", "tau")
     assert again.output == invoke(runner, "invariant", "--link", "whitehead", "--kind", "tau").output
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz
+# ---------------------------------------------------------------------------
+
+# Valid values, malformed ones, and sizes past each guard.  Every size is
+# either small or rejected by a guard before anything is allocated: no
+# braid word has 6 to 12 strands or 11 to 16 letters, where a dense
+# representation or the bracket state sum would run at scale.
+_WORDS = [
+    "1 -2 1", "n=3; 1 1", "n=2;", "n=4; 1 -3 2", "n=3; 1 -2 1 -2 1 -2", "",
+    "1 x", "-1 2", "n=0;", "n=2; 5", "n=x; 1", "n=13; 1", "n=22; 1", "n=300;",
+    "n=10000000000;", "1 99999999999", "n=3; " + "1 -2 " * 8 + "1",
+]
+_GATES = ["R", "CNOT", "H", "X", "I2", "SWAP", "Rprime:1,0,1,0,1,0,-1,0", "U1:0.3,0", "P:1,0", "nope", ""]
+_NUMBERS = ["0", "1", "-1", "2", "3", "0.3", "1e-300", "nan", "inf", "x", "1,0", "0,1", "nan,0", ""]
+_STATES = [
+    "[[1,0],[0,0]]", "[[0.6,0],[0,0.8]]", "[[0,0],[0,0]]", "[[1,0]]", "[]", "{",
+    "[[0.5,0],[0,0],[0,0],[0.5,0],[0,0],[0.5,0],[0.5,0],[0,0]]",
+]
+# argv prefix -> (positional values, options always given, options drawn);
+# each option is (flag, values), with values None for a flag
+_VERBS = {
+    ("ybe",): (_GATES, [], [("--form", ["braided", "algebraic", "x"]), ("--tol", _NUMBERS)]),
+    ("gate",): (
+        _GATES,
+        [],
+        [("--classify", None), ("--decompose-verify", ["mrn", "qdq", "r0", "x"]), ("--tol", _NUMBERS)],
+    ),
+    ("braid",): (_WORDS, [], []),
+    ("invariant",): (
+        _WORDS,
+        [("--kind", ["tau", "bracket", "linking", "x"])],
+        [
+            ("--link", ["hopf", "borromean", "whitehead", "nope"]),
+            ("--a", _NUMBERS),
+            ("--c", _NUMBERS),
+            ("--theta", _NUMBERS),
+            ("--A", _NUMBERS),
+            ("--check-oracle", None),
+            ("--tol", _NUMBERS),
+        ],
+    ),
+    ("sim",): ([], [], []),
+    ("sim", "trace"): (
+        [],
+        [],
+        [("--gate", _GATES), ("--shots", ["0", "-1", "1", "100", "x"]), ("--seed", _NUMBERS)],
+    ),
+    ("sim", "teleport"): (
+        [],
+        [("--gate", _GATES)],
+        [("--n", ["-1", "0", "1", "2", "3", "4", "40"]), ("--psi", _STATES), ("--seed", _NUMBERS)],
+    ),
+    ("sim", "project"): (
+        [],
+        [("--qubit", _NUMBERS), ("--bit", _NUMBERS)],
+        [("--state", ["ghz", "branch", "x"]), ("--psi", _STATES)],
+    ),
+    ("catalog",): (["gates", "links", "x"], [], []),
+    ("selftest",): ([], [], [("--json", None)]),
+}
+
+
+@st.composite
+def _argvs(draw):
+    prefix = draw(st.sampled_from(sorted(_VERBS)))
+    positional, required, optional = _VERBS[prefix]
+    argv = list(prefix)
+    if positional and draw(st.booleans()):
+        argv.append(draw(st.sampled_from(positional)))
+    drawn = draw(st.lists(st.sampled_from(optional), max_size=4)) if optional else []
+    for flag, values in required + drawn:
+        argv.append(flag)
+        if values is not None:
+            argv.append(draw(st.sampled_from(values)))
+    return argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+@given(_argvs())
+@settings(max_examples=200, deadline=None)
+def test_any_argv_keeps_the_cli_contract(argv):
+    result = CliRunner().invoke(main, argv)
+    assert result.exit_code in (0, 1, 2, 3), (argv, result.exception)
+    assert result.exception is None or isinstance(result.exception, SystemExit), argv
+    assert "Traceback" not in result.stderr, argv
+    if argv[0] == "selftest" and "--json" not in argv:
+        return  # the selftest table is the one human-first rendering
+    if result.stdout:
+        assert result.stdout.count("\n") == 1, argv
+        assert isinstance(json.loads(result.stdout, parse_constant=_reject_constant), dict), argv

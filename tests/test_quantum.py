@@ -1,6 +1,8 @@
 """Cup/cap state machinery: trace evaluation, functional measurements,
 state teleportation and single-qubit projections."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,12 @@ from braidgate import (
     sample_trace_probability,
     teleport_protocol,
     trace_amplitude,
+)
+from quantum_oracles import (
+    contract_functional,
+    cup_trace,
+    t_unitary,
+    teleport_all_branches,
 )
 
 seeds = st.integers(0, 2**32 - 1)
@@ -70,10 +78,12 @@ def test_trace_amplitude_goldens():
 @given(seeds)
 @settings(max_examples=25)
 def test_trace_amplitude_matches_trace(seed):
+    """The closed-form trace against the literal cup contraction."""
     rng = np.random.default_rng(seed)
-    dim = 2 ** int(rng.integers(1, 6))
+    dim = 2 ** int(rng.integers(1, 7))
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    assert abs(trace_amplitude(g) - np.trace(g)) < 1e-9
+    oracle = cup_trace(g)
+    assert abs(trace_amplitude(g) - oracle) <= 1e-12 * max(1.0, abs(oracle))
 
 
 def test_trace_amplitude_rejects_bad_dimensions():
@@ -152,6 +162,19 @@ def test_measure_apply_weights_sum_over_a_basis(seed):
     assert abs(total / 2.0 - 1.0) < 1e-12  # Born normalization
 
 
+@given(seeds, st.integers(2, 16))
+@settings(max_examples=50)
+def test_measure_apply_matches_the_literal_contraction(seed, dim):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    out, prob = measure_apply(m, psi)
+    oracle = contract_functional(m, psi)
+    assert np.max(np.abs(out - oracle)) <= 1e-12 * max(1.0, float(np.max(np.abs(oracle))))
+    expected = float(np.vdot(oracle, oracle).real) / (float(np.vdot(psi, psi).real) * dim)
+    assert abs(prob - expected) <= 1e-12 * expected
+
+
 def test_measure_apply_dimension_mismatch():
     with pytest.raises(ValueError):
         measure_apply(np.eye(2), np.array([1, 0, 0], dtype=complex))
@@ -202,6 +225,40 @@ def test_teleportation_recovers_the_gate_action(seed):
     target = u @ (psi / np.linalg.norm(psi))
     overlap = abs(np.vdot(received, target))
     assert overlap == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_teleport_born_weights_are_uniform(n):
+    """Every functional <T_ab U| / sqrt(2^n) measured against
+    psi (x) delta / sqrt(2^n) has Born weight exactly 1/4^n for unitary
+    U, which is what lets teleport_protocol draw the outcome first."""
+    rng = np.random.default_rng(n)
+    dim = 2**n
+    for _ in range(10):
+        u = _haar(rng, dim)
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        psi = psi / np.linalg.norm(psi)
+        weights = []
+        for bits in product((0, 1), repeat=2 * n):
+            out = contract_functional(t_unitary(bits[:n], bits[n:]) @ u, psi) / dim
+            weights.append(float(np.vdot(out, out).real))
+        assert len(weights) == 4**n
+        assert np.max(np.abs(np.array(weights) * 4**n - 1.0)) <= 1e-13
+
+
+def test_teleportation_matches_the_all_branch_oracle():
+    """Drawing the outcome first gives the same bits and bitwise the same
+    received state as building all 4^n branches and sampling by weight."""
+    for n in (1, 2, 3):
+        dim = 2**n
+        for seed in range(300):
+            rng = np.random.default_rng((seed, n))
+            u = _haar(rng, dim)
+            psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            received, bits = teleport_protocol(u, psi, seed=seed)
+            want, want_bits = teleport_all_branches(u, psi, seed)
+            assert bits == want_bits, (n, seed)
+            assert np.array_equal(received, want), (n, seed)
 
 
 def test_teleportation_golden_identity():
