@@ -5,8 +5,11 @@ machine interface (keys sorted, deterministic for fixed flags and seed,
 strict JSON with no NaN or Infinity); the selftest table is the one
 human-first rendering.  Exit codes: 0 success, 1 verification failure,
 2 usage error, 3 guard exceeded; ``_domain_errors`` is the one place that
-maps the package's exceptions onto them.  The env var BRAIDGATE_TOL
+maps the package's exceptions onto them; a ``--matrix-file`` that cannot
+be read or parsed as a matrix is a usage error.  The env var BRAIDGATE_TOL
 overrides default tolerances; a tolerance must be finite and >= 0.
+``selftest`` evaluates ``_GOLDENS``, one table of (name, expected, compute)
+rows and the one place to add a check.
 """
 
 from __future__ import annotations
@@ -100,14 +103,14 @@ def _resolve(gate_name: str | None, matrix_file: str | None) -> tuple[np.ndarray
         try:
             with open(matrix_file) as fh:
                 m = tensor.matrix_from_json(json.load(fh))
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise click.UsageError(f"cannot load matrix file: {exc}") from None
         return m, f"file:{matrix_file}"
     if gate_name is None:
         raise click.UsageError("provide a gate name or --matrix-file")
     try:
         return gates.resolve_gate(gate_name), gate_name
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
         msg = exc.args[0] if exc.args else str(exc)
         raise click.UsageError(str(msg)) from None
 
@@ -408,216 +411,185 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _selftest_rows() -> list[dict]:
-    rows: list[dict] = []
-
-    def check(name: str, expected, computed) -> None:
-        rows.append(
-            {
-                "name": name,
-                "expected": _fmt(expected),
-                "computed": _fmt(computed),
-                "pass": bool(
-                    np.isclose(expected, computed, rtol=0, atol=1e-9)
-                    if isinstance(expected, (int, float, complex)) and not isinstance(expected, bool)
-                    else expected == computed
-                ),
-            }
-        )
-
-    def guarded(name: str, expected, thunk) -> None:
-        try:
-            check(name, expected, thunk())
-        except Exception as exc:  # a broken build should name its failures
-            rows.append(
-                {"name": name, "expected": _fmt(expected), "computed": f"error: {exc}", "pass": False}
-            )
-
-    rt2 = float(np.sqrt(2.0))
-    eye4 = np.eye(4)
-
+# Each row is (name, expected, compute).  A compute reads ``gates.*`` when it
+# runs, so a mutated catalog gate fails its rows; a compute that raises
+# reports an "error:" row instead of stopping the table.
+_GOLDENS = (
     # the braiding gate itself
-    guarded("R_unitary", True, lambda: tensor.is_unitary(gates.R))
-    guarded("R8_identity", 0.0, lambda: tensor.residual(np.linalg.matrix_power(gates.R, 8), eye4))
-    guarded(
+    ("R_unitary", True, lambda: tensor.is_unitary(gates.R)),
+    ("R8_identity", 0.0, lambda: tensor.residual(np.linalg.matrix_power(gates.R, 8), np.eye(4))),
+    (
         "R_plus_Rinv_sqrt2",
         0.0,
-        lambda: tensor.residual(gates.R + np.linalg.inv(gates.R), rt2 * eye4),
-    )
-    guarded(
+        lambda: tensor.residual(gates.R + np.linalg.inv(gates.R), np.sqrt(2) * np.eye(4)),
+    ),
+    (
         "R_bell_columns",
         0.0,
         lambda: tensor.residual(
             gates.R,
-            np.array(
-                [[1, 0, 0, 1], [0, 1, -1, 0], [0, 1, 1, 0], [-1, 0, 0, 1]], dtype=complex
-            )
-            / rt2,
+            np.array([[1, 0, 0, 1], [0, 1, -1, 0], [0, 1, 1, 0], [-1, 0, 0, 1]], dtype=complex)
+            / np.sqrt(2),
         ),
-    )
-    guarded(
+    ),
+    (
         "partial_trace_R",
         0.0,
-        lambda: tensor.residual(tensor.partial_trace_last(gates.R, 2), rt2 * np.eye(2)),
-    )
-    guarded(
+        lambda: tensor.residual(tensor.partial_trace_last(gates.R, 2), np.sqrt(2) * np.eye(2)),
+    ),
+    (
         "partial_trace_Rinv",
         0.0,
         lambda: tensor.residual(
-            tensor.partial_trace_last(np.linalg.inv(gates.R), 2), rt2 * np.eye(2)
+            tensor.partial_trace_last(np.linalg.inv(gates.R), 2), np.sqrt(2) * np.eye(2)
         ),
-    )
-    guarded("trace_R", complex(2 * rt2, 0), lambda: quantum.trace_amplitude(gates.R))
-
+    ),
+    ("trace_R", complex(2 * np.sqrt(2), 0), lambda: quantum.trace_amplitude(gates.R)),
     # Yang-Baxter residuals
-    guarded("ybe_braided_R", 0.0, lambda: gates.check_ybe_braided(gates.R))
-    guarded("ybe_braided_SWAP", 0.0, lambda: gates.check_ybe_braided(gates.SWAP))
-    guarded("ybe_algebraic_D", 0.0, lambda: gates.check_ybe_algebraic(gates.D))
-    guarded(
+    ("ybe_braided_R", 0.0, lambda: gates.check_ybe_braided(gates.R)),
+    ("ybe_braided_SWAP", 0.0, lambda: gates.check_ybe_braided(gates.SWAP)),
+    ("ybe_algebraic_D", 0.0, lambda: gates.check_ybe_algebraic(gates.D)),
+    (
         "ybe_algebraic_P",
         0.0,
         lambda: gates.check_ybe_algebraic(
             gates.P(*np.exp(1j * np.array([0.4, -1.1, 2.2, 0.9])))
         ),
-    )
-    guarded(
-        "ybe_algebraic_SWAP_R", 0.0, lambda: gates.check_ybe_algebraic(gates.SWAP @ gates.R)
-    )
-    guarded(
+    ),
+    ("ybe_algebraic_SWAP_R", 0.0, lambda: gates.check_ybe_algebraic(gates.SWAP @ gates.R)),
+    (
         "ybe_braided_Rprime",
         0.0,
         lambda: gates.check_ybe_braided(
             gates.R_prime(*np.exp(1j * np.array([0.3, 1.7, -0.5, 2.4])))
         ),
-    )
-
+    ),
     # CNOT decompositions
-    guarded("qdq_residual", 0.0, lambda: gates.verify_qdq()["residual"])
-    guarded("r0_route_ok", True, lambda: gates.verify_r0_decomposition()["ok"])
-    guarded("mrn_route_ok", True, lambda: gates.verify_mrn_decomposition()["ok"])
-
+    ("qdq_residual", 0.0, lambda: gates.verify_qdq()["residual"]),
+    ("r0_route_ok", True, lambda: gates.verify_r0_decomposition()["ok"]),
+    ("mrn_route_ok", True, lambda: gates.verify_mrn_decomposition()["ok"]),
     # entangling / CNOT-count classification
-    guarded("entangling_R", True, lambda: gates.is_entangling(gates.R).entangling)
-    guarded("entangling_R0", True, lambda: gates.is_entangling(gates.R0).entangling)
-    guarded("entangling_SWAP", False, lambda: gates.is_entangling(gates.SWAP).entangling)
-    guarded(
+    ("entangling_R", True, lambda: gates.is_entangling(gates.R).entangling),
+    ("entangling_R0", True, lambda: gates.is_entangling(gates.R0).entangling),
+    ("entangling_SWAP", False, lambda: gates.is_entangling(gates.SWAP).entangling),
+    (
         "entangling_Rprime_ad_ne_bc",
         True,
         lambda: gates.is_entangling(
             gates.R_prime(*np.exp(1j * np.array([0.2, 0.9, -1.3, 2.0])))
         ).entangling,
-    )
-    guarded(
+    ),
+    (
         "entangling_Rprime_ad_eq_bc",
         False,
         lambda: gates.is_entangling(gates.R_prime(1, 1, 1, 1)).entangling,
-    )
-    guarded(
-        "cnot_class_local",
-        0,
-        lambda: gates.cnot_count_class(np.kron(gates.H, gates.SIGMA)).cls,
-    )
-    guarded("cnot_class_R", 1, lambda: gates.cnot_count_class(gates.R).cls)
-    guarded("cnot_class_CNOT", 1, lambda: gates.cnot_count_class(gates.CNOT).cls)
-
+    ),
+    ("cnot_class_local", 0, lambda: gates.cnot_count_class(np.kron(gates.H, gates.SIGMA)).cls),
+    ("cnot_class_R", 1, lambda: gates.cnot_count_class(gates.R).cls),
+    ("cnot_class_CNOT", 1, lambda: gates.cnot_count_class(gates.CNOT).cls),
     # exact link invariants
-    for name, mant, expo in (
-        ("unlink3", 1, 6),
-        ("hopf", 0, 0),
-        ("trefoil", -1, 3),
-        ("figure8", -1, 4),
-        ("borromean", -1, 6),
-        ("whitehead", -1, 5),
-    ):
-        guarded(
-            f"tau_{name}",
-            f"{mant}*sqrt2^{expo}",
-            lambda name=name: str(tau(link_word(name))),
+    *(
+        (f"tau_{name}", f"{mant}*sqrt2^{expo}", lambda name=name: str(tau(link_word(name))))
+        for name, mant, expo in (
+            ("unlink3", 1, 6),
+            ("hopf", 0, 0),
+            ("trefoil", -1, 3),
+            ("figure8", -1, 4),
+            ("borromean", -1, 6),
+            ("whitehead", -1, 5),
         )
-    guarded(
+    ),
+    (
         "tau_powers_of_s",
         "4 2.8284 0 -2.8284 -4 -2.8284 0 2.8284",
         lambda: " ".join(f"{tau(BraidWord(2, (1,) * k)).to_float():.5g}" for k in range(8)),
-    )
-    guarded(
+    ),
+    (
         "tau_period_8",
         True,
         lambda: all(
             tau(BraidWord(2, (1,) * (k + 8))) == tau(BraidWord(2, (1,) * k)) for k in range(8)
         ),
-    )
-    guarded(
+    ),
+    (
         "tau_markov_conjugation",
         True,
         lambda: tau(markov_conjugate(parse_braid("1 2 -1"), parse_braid("n=3; 2 1")))
         == tau(parse_braid("1 2 -1")),
-    )
-    guarded(
+    ),
+    (
         "tau_markov_stabilization",
         True,
         lambda: tau(markov_stabilize(parse_braid("1 1 1"), +1))
         == tau(parse_braid("1 1 1")).scaled_sqrt2(1),
-    )
-    guarded(
+    ),
+    (
         "skein_three_term",
         True,
         lambda: invariants.skein_check(parse_braid("1 -2 1 -2"), 2)["holds"],
-    )
-
+    ),
     # linking-number state sum
-    def hopf_linking() -> float:
-        a, c = np.exp(0.3j), np.exp(-0.7j)
-        _, z = invariants.linking_state_sum(parse_braid("1 1"), a, c)
-        return abs(z - 2 * (1 + (c / a) ** 2))
-
-    guarded("hopf_linking_z", 0.0, hopf_linking)
-
+    (
+        "hopf_linking_z",
+        0.0,
+        lambda: abs(
+            invariants.linking_state_sum(parse_braid("1 1"), np.exp(0.3j), np.exp(-0.7j))[1]
+            - 2 * (1 + (np.exp(-0.7j) / np.exp(0.3j)) ** 2)
+        ),
+    ),
     # Temperley-Lieb representation and bracket
-    def tl_relation() -> float:
-        p = BracketParams.from_theta(np.pi / 8)
-        lhs = invariants.tl_rep3(parse_braid("n=3; 1 2 1"), p)
-        rhs = invariants.tl_rep3(parse_braid("n=3; 2 1 2"), p)
-        return tensor.residual(lhs, rhs)
-
-    guarded("tl_braid_relation", 0.0, tl_relation)
-    guarded(
+    (
+        "tl_braid_relation",
+        0.0,
+        lambda: tensor.residual(
+            *(
+                invariants.tl_rep3(parse_braid(word), BracketParams.from_theta(np.pi / 8))
+                for word in ("n=3; 1 2 1", "n=3; 2 1 2")
+            )
+        ),
+    ),
+    (
         "tl_unitary_in_window",
         True,
         lambda: tensor.is_unitary(
-            invariants.tl_rep3(parse_braid("n=3; 2"), BracketParams.from_theta(np.pi / 8)),
-            eps=1e-9,
+            invariants.tl_rep3(parse_braid("n=3; 2"), BracketParams.from_theta(np.pi / 8)), eps=1e-9
         ),
-    )
-    guarded("tl_trace_U1", complex(-1.5, 0), lambda: complex(np.trace(gates.U1(-1.5))))
-    guarded("tl_trace_U2", complex(-1.5, 0), lambda: complex(np.trace(gates.U2(-1.5))))
-    guarded(
-        "tl_trace_U1U2", complex(1, 0), lambda: complex(np.trace(gates.U1(-1.5) @ gates.U2(-1.5)))
-    )
-    guarded(
+    ),
+    ("tl_trace_U1", complex(-1.5, 0), lambda: complex(np.trace(gates.U1(-1.5)))),
+    ("tl_trace_U2", complex(-1.5, 0), lambda: complex(np.trace(gates.U2(-1.5)))),
+    ("tl_trace_U1U2", complex(1, 0), lambda: complex(np.trace(gates.U1(-1.5) @ gates.U2(-1.5)))),
+    (
         "tl_hook_relations",
         0.0,
         lambda: max(
             tensor.residual(gates.U1(-1.5) @ gates.U2(-1.5) @ gates.U1(-1.5), gates.U1(-1.5)),
             tensor.residual(gates.U2(-1.5) @ gates.U1(-1.5) @ gates.U2(-1.5), gates.U2(-1.5)),
         ),
-    )
-
-    def bracket_vs_oracle() -> float:
-        p = BracketParams.from_theta(0.3)
-        b = parse_braid("1 -2 1 -2")
-        return abs(bracket3(b, p) - bracket_oracle(b, p))
-
-    guarded("bracket_identity_d2", 0.0, lambda: _bracket_identity_err())
-    guarded("bracket_vs_oracle", 0.0, bracket_vs_oracle)
-
+    ),
+    (
+        "bracket_identity_d2",
+        0.0,
+        lambda: max(
+            abs(bracket3(BraidWord(3), p := BracketParams.from_theta(0.37)) - p.d**2),
+            abs(bracket_oracle(BraidWord(3), p) - p.d**2),
+        ),
+    ),
+    (
+        "bracket_vs_oracle",
+        0.0,
+        lambda: abs(
+            bracket3(b := parse_braid("1 -2 1 -2"), p := BracketParams.from_theta(0.3))
+            - bracket_oracle(b, p)
+        ),
+    ),
     # cup-state protocols
-    guarded(
+    (
         "delta_norm_n3",
         complex(8, 0),
         lambda: complex(np.vdot(quantum.make_delta(3), quantum.make_delta(3))),
-    )
-    guarded("trace_identity_n2", complex(4, 0), lambda: quantum.trace_amplitude(np.eye(4)))
-    guarded(
+    ),
+    ("trace_identity_n2", complex(4, 0), lambda: quantum.trace_amplitude(np.eye(4))),
+    (
         "teleport_identity",
         0.0,
         lambda: float(
@@ -625,9 +597,7 @@ def _selftest_rows() -> list[dict]:
                 [
                     np.max(
                         np.abs(
-                            quantum.teleport_protocol(
-                                np.eye(2), np.array([1.0, 0.0]), seed=3
-                            )[0]
+                            quantum.teleport_protocol(np.eye(2), np.array([1.0, 0.0]), seed=3)[0]
                             - phase * np.array([1.0, 0.0])
                         )
                     )
@@ -635,20 +605,19 @@ def _selftest_rows() -> list[dict]:
                 ]
             )
         ),
-    )
-    guarded(
+    ),
+    (
         "basis_lemma_family",
         True,
         lambda: quantum.basis_orthogonality(np.array([[3 / 5, 4j / 5], [4j / 5, 3 / 5]]))[0],
-    )
-    guarded(
+    ),
+    (
         "basis_lemma_counterexample",
         False,
         lambda: quantum.basis_orthogonality(np.diag([1.0, 2.0]))[0],
-    )
-
+    ),
     # projection examples
-    guarded(
+    (
         "branch_projection",
         "0.5/unentangled 0.5/entangled",
         lambda: " ".join(
@@ -658,8 +627,8 @@ def _selftest_rows() -> list[dict]:
                 quantum.project_qubit(quantum.branch_state(), 1, 1),
             )
         ),
-    )
-    guarded(
+    ),
+    (
         "ghz_projection",
         True,
         lambda: all(
@@ -667,24 +636,30 @@ def _selftest_rows() -> list[dict]:
             for k in (1, 2, 3)
             for bit in (0, 1)
         ),
-    )
-    return rows
+    ),
+)
 
 
-def _bracket_identity_err() -> float:
-    p = BracketParams.from_theta(0.37)
-    ident = BraidWord(3)
-    return max(
-        abs(bracket3(ident, p) - p.d**2),
-        abs(bracket_oracle(ident, p) - p.d**2),
-    )
+def _selftest_row(name: str, expected, compute) -> dict:
+    row = {"name": name, "expected": _fmt(expected)}
+    try:
+        computed = compute()
+        row["computed"] = _fmt(computed)
+        row["pass"] = bool(
+            np.isclose(expected, computed, rtol=0, atol=1e-9)
+            if isinstance(expected, (int, float, complex)) and not isinstance(expected, bool)
+            else expected == computed
+        )
+    except Exception as exc:  # a broken build should name its failures
+        row["computed"], row["pass"] = f"error: {exc}", False
+    return row
 
 
 @main.command()
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable pass/fail list.")
 def selftest(as_json) -> None:
     """Recompute the frozen reference numbers and compare."""
-    rows = _selftest_rows()
+    rows = [_selftest_row(*g) for g in _GOLDENS]
     ok = all(r["pass"] for r in rows)
     if as_json:
         _emit({"checks": rows, "ok": ok})

@@ -106,17 +106,17 @@ GAMMA2 = np.array([[1, 1j], [1, -1j]], dtype=complex) / _RT2
 DELTA2 = np.array([[-1, 0], [0, -1j]], dtype=complex)
 
 
-def _check_unit(name, value, require_unit):
-    if require_unit and abs(abs(value) - 1.0) > 1e-9:
-        raise ValueError(f"parameter {name}={value!r} must have unit modulus")
-    if value == 0:
-        raise ValueError(f"parameter {name} must be nonzero")
+def _check_params(params, require_unit):
+    for name, value in zip("abcd", params):
+        if require_unit and abs(abs(value) - 1.0) > 1e-9:
+            raise ValueError(f"parameter {name}={value!r} must have unit modulus")
+        if value == 0:
+            raise ValueError(f"parameter {name} must be nonzero")
 
 
 def R_prime(a, b, c, d, require_unit: bool = True) -> np.ndarray:
     """Phase-swap family: |00>->a|00>, |01>->c|10>, |10>->b|01>, |11>->d|11>."""
-    for name, v in zip("abcd", (a, b, c, d)):
-        _check_unit(name, v, require_unit)
+    _check_params((a, b, c, d), require_unit)
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0], m[1, 2], m[2, 1], m[3, 3] = a, b, c, d
     return m
@@ -125,8 +125,7 @@ def R_prime(a, b, c, d, require_unit: bool = True) -> np.ndarray:
 def R_dprime(a, b, c, d, require_unit: bool = True) -> np.ndarray:
     """Anti-diagonal phase family: |00>->d|11>, |01>->b|01>, |10>->c|10>,
     |11>->a|00>.  Solves the braided Yang-Baxter equation iff b = c."""
-    for name, v in zip("abcd", (a, b, c, d)):
-        _check_unit(name, v, require_unit)
+    _check_params((a, b, c, d), require_unit)
     m = np.zeros((4, 4), dtype=complex)
     m[0, 3], m[1, 1], m[2, 2], m[3, 0] = a, b, c, d
     return m
@@ -134,8 +133,7 @@ def R_dprime(a, b, c, d, require_unit: bool = True) -> np.ndarray:
 
 def P(a, b, c, d, require_unit: bool = True) -> np.ndarray:
     """Diagonal phase gate diag(a, b, c, d)."""
-    for name, v in zip("abcd", (a, b, c, d)):
-        _check_unit(name, v, require_unit)
+    _check_params((a, b, c, d), require_unit)
     return np.diag([a, b, c, d]).astype(complex)
 
 
@@ -178,26 +176,14 @@ def check_ybe_braided(r) -> float:
 _SWAP_MIDDLE = kron(I2, SWAP.real).astype(complex)  # swaps factors 2 and 3 of V^3
 
 
-def _place_12(r):
-    return kron(r, I2)
-
-
-def _place_23(r):
-    return kron(I2, r)
-
-
-def _place_13(r):
-    s = _SWAP_MIDDLE
-    return s @ kron(r, I2) @ s
-
-
 def check_ybe_algebraic(r) -> float:
     """Residual of r12 r13 r23 = r23 r13 r12, with r13 built by
     conjugating the (1,2) placement with the middle swap."""
     r = as_matrix(r)
     if r.shape[0] != 4:
         raise ValueError("algebraic YBE check needs a 4x4 matrix")
-    r12, r13, r23 = _place_12(r), _place_13(r), _place_23(r)
+    r12, r23 = kron(r, I2), kron(I2, r)
+    r13 = _SWAP_MIDDLE @ r12 @ _SWAP_MIDDLE
     return residual(r12 @ r13 @ r23, r23 @ r13 @ r12)
 
 
@@ -242,7 +228,9 @@ def is_entangling(g, eps: float = PHASE_EPS, seed: int = 0) -> EntanglingVerdict
     are the local products and local products composed with SWAP).  When
     entangling, a witness product state is attached: the 16 products of
     basis/diagonal-basis single-qubit states are scanned first and random
-    product states are drawn only if none of those certifies.
+    product states are drawn only if none of those certifies.  The witness
+    is None when no image clears ``eps``; none can once eps >= 1/2, the
+    largest |ad - bc| of a unit state.
     """
     g = as_matrix(g)
     if g.shape[0] != 4:
@@ -270,7 +258,7 @@ def is_entangling(g, eps: float = PHASE_EPS, seed: int = 0) -> EntanglingVerdict
         u = np.array([np.cos(phases[0]), np.exp(1j * phases[1]) * np.sin(phases[0])])
         v = np.array([np.cos(phases[2]), np.exp(1j * phases[3]) * np.sin(phases[2])])
         candidates = [np.kron(u, v)]
-    raise RuntimeError("rank test says entangling but no witness was found")
+    return EntanglingVerdict(True, None, ranks)
 
 
 @dataclass(frozen=True)
@@ -347,26 +335,26 @@ DECOMPOSITIONS = {
 # ---------------------------------------------------------------------------
 
 _FIXED_GATES = {
-    "R": lambda: R,
-    "R0": lambda: R0,
-    "D": lambda: D,
-    "SWAP": lambda: SWAP,
-    "CNOT": lambda: CNOT,
-    "H": lambda: H,
-    "Q": lambda: Q,
-    "E": lambda: E,
-    "I2": lambda: I2,
-    "I4": lambda: I4,
-    "X": lambda: MOD_X,
-    "Y": lambda: MOD_Y,
-    "Z": lambda: MOD_Z,
-    "sigma": lambda: SIGMA,
-    "lambda": lambda: LAM,
-    "mu": lambda: MU,
-    "alpha": lambda: ALPHA,
-    "beta": lambda: BETA,
-    "gamma": lambda: GAMMA2,
-    "delta": lambda: DELTA2,
+    "R": R,
+    "R0": R0,
+    "D": D,
+    "SWAP": SWAP,
+    "CNOT": CNOT,
+    "H": H,
+    "Q": Q,
+    "E": E,
+    "I2": I2,
+    "I4": I4,
+    "X": MOD_X,
+    "Y": MOD_Y,
+    "Z": MOD_Z,
+    "sigma": SIGMA,
+    "lambda": LAM,
+    "mu": MU,
+    "alpha": ALPHA,
+    "beta": BETA,
+    "gamma": GAMMA2,
+    "delta": DELTA2,
 }
 
 _PARAM_GATES = {
@@ -391,7 +379,7 @@ def resolve_gate(name: str) -> np.ndarray:
     head, sep, tail = name.partition(":")
     if not sep:
         if head in _FIXED_GATES:
-            return _FIXED_GATES[head]().copy()
+            return _FIXED_GATES[head].copy()
         raise KeyError(f"unknown gate {name!r}")
     if head not in _PARAM_GATES:
         raise KeyError(f"unknown parameterized gate {head!r}")

@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import braidgate.gates
-from braidgate import CNOT, matrix_to_json
+from braidgate import CNOT, H, R, cli, matrix_to_json
 from braidgate.cli import main
 
 
@@ -399,7 +399,9 @@ def test_selftest_json_lists_every_check(runner):
     payload = json.loads(result.output)
     assert payload["ok"] is True
     rows = payload["checks"]
-    assert len(rows) >= 40
+    names = [row["name"] for row in rows]
+    assert names == [golden[0] for golden in cli._GOLDENS]
+    assert len(set(names)) == len(names)
     assert all(row["pass"] for row in rows)
 
 
@@ -410,6 +412,12 @@ def test_selftest_catches_a_mutated_gate(runner, monkeypatch):
     result = invoke(runner, "selftest")
     assert result.exit_code == 1
     assert "FAIL" in result.output
+    result = invoke(runner, "selftest", "--json")
+    assert result.exit_code == 1
+    rows = {row["name"]: row for row in json.loads(result.output)["checks"]}
+    assert len(rows) == 51
+    assert rows["entangling_R"]["computed"] == "error: gate is not unitary"
+    assert rows["entangling_R"]["pass"] is False
 
 
 def test_output_is_deterministic(runner):
@@ -434,20 +442,46 @@ _WORDS = [
     "1 x", "-1 2", "n=0;", "n=2; 5", "n=x; 1", "n=13; 1", "n=22; 1", "n=300;",
     "n=10000000000;", "1 99999999999", "n=3; " + "1 -2 " * 8 + "1",
 ]
-_GATES = ["R", "CNOT", "H", "X", "I2", "SWAP", "Rprime:1,0,1,0,1,0,-1,0", "U1:0.3,0", "P:1,0", "nope", ""]
+_GATES = [
+    "R", "CNOT", "H", "X", "I2", "SWAP", "Rprime:1,0,1,0,1,0,-1,0", "U1:0.3,0", "U2:0,0", "P:1,0",
+    "nope", "",
+]
 _NUMBERS = ["0", "1", "-1", "2", "3", "0.3", "1e-300", "nan", "inf", "x", "1,0", "0,1", "nan,0", ""]
 _STATES = [
     "[[1,0],[0,0]]", "[[0.6,0],[0,0.8]]", "[[0,0],[0,0]]", "[[1,0]]", "[]", "{",
     "[[0.5,0],[0,0],[0,0],[0.5,0],[0,0],[0.5,0],[0.5,0],[0,0]]",
 ]
+# --matrix-file values: file names in a directory written once per module,
+# two valid matrices and malformed files of every kind the loader can meet
+_MATRIX_FILES = {
+    "r.json": json.dumps(matrix_to_json(R)),
+    "h.json": json.dumps(matrix_to_json(H)),
+    "list.json": "[1]",
+    "null_dim.json": '{"dim": null, "entries": []}',
+    "flat_entries.json": '{"dim": 2, "entries": [1, 2, 3, 4]}',
+    "int_entries.json": '{"dim": 2, "entries": 5}',
+    "string_entries.json": '{"dim": 1, "entries": [["a", "b"]]}',
+    "infinite_dim.json": '{"dim": 1e999, "entries": []}',
+    "deep.json": "[" * 100_000,
+}
+_MATRIX_OPTION = ("--matrix-file", sorted(_MATRIX_FILES))
 # argv prefix -> (positional values, options always given, options drawn);
 # each option is (flag, values), with values None for a flag
 _VERBS = {
-    ("ybe",): (_GATES, [], [("--form", ["braided", "algebraic", "x"]), ("--tol", _NUMBERS)]),
+    ("ybe",): (
+        _GATES,
+        [],
+        [("--form", ["braided", "algebraic", "x"]), ("--tol", _NUMBERS), _MATRIX_OPTION],
+    ),
     ("gate",): (
         _GATES,
         [],
-        [("--classify", None), ("--decompose-verify", ["mrn", "qdq", "r0", "x"]), ("--tol", _NUMBERS)],
+        [
+            ("--classify", None),
+            ("--decompose-verify", ["mrn", "qdq", "r0", "x"]),
+            ("--tol", _NUMBERS),
+            _MATRIX_OPTION,
+        ],
     ),
     ("braid",): (_WORDS, [], []),
     ("invariant",): (
@@ -467,12 +501,22 @@ _VERBS = {
     ("sim", "trace"): (
         [],
         [],
-        [("--gate", _GATES), ("--shots", ["0", "-1", "1", "100", "x"]), ("--seed", _NUMBERS)],
+        [
+            ("--gate", _GATES),
+            ("--shots", ["0", "-1", "1", "100", "x"]),
+            ("--seed", _NUMBERS),
+            _MATRIX_OPTION,
+        ],
     ),
     ("sim", "teleport"): (
         [],
         [("--gate", _GATES)],
-        [("--n", ["-1", "0", "1", "2", "3", "4", "40"]), ("--psi", _STATES), ("--seed", _NUMBERS)],
+        [
+            ("--n", ["-1", "0", "1", "2", "3", "4", "40"]),
+            ("--psi", _STATES),
+            ("--seed", _NUMBERS),
+            _MATRIX_OPTION,
+        ],
     ),
     ("sim", "project"): (
         [],
@@ -503,9 +547,18 @@ def _reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 
 
+@pytest.fixture(scope="module")
+def matrix_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("matrices")
+    for name, text in _MATRIX_FILES.items():
+        (root / name).write_text(text)
+    return root
+
+
 @given(_argvs())
 @settings(max_examples=200, deadline=None)
-def test_any_argv_keeps_the_cli_contract(argv):
+def test_any_argv_keeps_the_cli_contract(matrix_dir, argv):
+    argv = [str(matrix_dir / arg) if arg in _MATRIX_FILES else arg for arg in argv]
     result = CliRunner().invoke(main, argv)
     assert result.exit_code in (0, 1, 2, 3), (argv, result.exception)
     assert result.exception is None or isinstance(result.exception, SystemExit), argv

@@ -177,6 +177,8 @@ def test_is_entangling_verdicts():
         assert v.entangling
         assert v.witness is not None
         assert state_is_entangled(g @ v.witness, eps=1e-9)
+    v = is_entangling(R, eps=1.0)  # no unit state has |ad - bc| above 1/2
+    assert v.entangling and v.witness is None
     v = is_entangling(SWAP)
     assert not v.entangling and v.witness is None
     assert min(v.schmidt_ranks) == 1
