@@ -23,33 +23,41 @@ linking_state_sum
     component labels and ``c`` otherwise (reciprocals for negative
     crossings).  Sigma is the sum over all 2^components labelings, and
     Z = a^(-writhe) * Sigma.  For a 2-component closure,
-    Z = 2 (1 + (c^2/a^2)^lk) with lk the linking number.
+    Z = 2 (1 + (c^2/a^2)^lk) with lk the linking number.  A labeling's
+    term depends only on its signed count of crossings between unequally
+    labelled components, so Sigma is evaluated from an exact integer
+    histogram of that count over the 2^(components-1) labelings that fix
+    one label (flipping every label changes no term).
 
 tl_rep3 / bracket3 / bracket_oracle
     The 2x2 Temperley-Lieb representation of 3-strand braids,
     Phi(s_i) = A I + A^(-1) U_i with loop weight d = -A^2 - A^(-2); the
     closed-braid bracket evaluation tr(Phi(b)) + A^writhe (d^2 - 2); and
-    an independent bracket state sum over all 2^L crossing smoothings,
-    with planar-diagram composition counting closed loops.
-    Both evaluations normalize the 3-strand identity braid to d^2.
+    an independent bracket state sum over crossing smoothings on any
+    number of strands, with planar-diagram composition counting closed
+    loops.  The state sum is a transfer sum: one map from each planar
+    diagram to its summed weight, updated letter by letter, so it holds
+    at most min(2^L, Catalan(n)) diagrams and never uses the 2x2
+    representation.  Both evaluations normalize the 3-strand identity
+    braid to d^2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from itertools import product
 
 import numpy as np
 
-from .braid import BraidWord, _crossings, closure_info, parse_braid
+from .braid import BraidWord, closure_info, parse_braid
 from .errors import GuardError, SingularBracketError
 from .gates import U1, U2
 from .rep import rep_exact
 
 MAX_LABEL_COMPONENTS = 20
-MAX_ORACLE_LETTERS = 16
+MAX_ORACLE_DIAGRAMS = 2**16
 
 
 @lru_cache(maxsize=1)
@@ -170,7 +178,10 @@ def linking_state_sum(b: BraidWord, a: complex, c: complex) -> tuple[complex, co
     """Evaluate the two-weight state sum on the closure of b.
 
     Returns (Sigma, Z) where Sigma sums over all component labelings and
-    Z = a^(-writhe) * Sigma.
+    Z = a^(-writhe) * Sigma.  A labeling's term is a^(writhe - D) * c^D,
+    where its cut value D is the signed count of crossings between
+    differently labelled components, so Sigma is a sum over the histogram
+    of D.  Flipping every label keeps D, so half the labelings suffice.
     """
     a, c = complex(a), complex(c)
     if a == 0 or c == 0:
@@ -179,20 +190,36 @@ def linking_state_sum(b: BraidWord, a: complex, c: complex) -> tuple[complex, co
     k = info.component_count
     if k > MAX_LABEL_COMPONENTS:
         raise GuardError(f"{k} components exceed the labeling guard")
-    crossings = [
-        (sign, info.component_of_strand[sa], info.component_of_strand[sb])
-        for sign, sa, sb in _crossings(b)
-    ]
-    sigma = 0j
-    for labels in product((0, 1), repeat=k):
-        term = 1.0 + 0j
-        for sign, ca, cb in crossings:
-            same = labels[ca - 1] == labels[cb - 1]
-            w = a if same else c
-            term *= w if sign > 0 else 1.0 / w
-        sigma += term
+    between = np.zeros((k, k), dtype=np.int64)  # signed crossing counts, 2 * lk
+    for (ci, cj), lk in info.linking.items():
+        between[ci - 1, cj - 1] = between[cj - 1, ci - 1] = 2 * lk
+    cut = _cut_values(between)
+    low = int(cut.min())
+    sigma = 2 * sum(
+        int(count) * a ** (info.writhe - d) * c**d
+        for d, count in enumerate(np.bincount(cut - low).tolist(), low)
+        if count
+    )
     z = a ** (-info.writhe) * sigma
     return sigma, z
+
+
+def _cut_values(between: np.ndarray) -> np.ndarray:
+    """The cut value of every labeling that gives component 0 label 0.
+
+    Entry x holds the sum of ``between[i, j]`` over pairs i < j with
+    different labels, where bit j - 1 of x is the label of component j.
+    Components join one at a time: the labelings of components 0..m-1
+    extend by label 0 for m (cutting m from the components labelled 1)
+    and by label 1 (cutting it from those labelled 0).
+    """
+    cut = np.zeros(1, dtype=np.int64)
+    for m in range(1, len(between)):
+        ones = np.zeros(1, dtype=np.int64)  # entry x: between[j, m] summed over j labelled 1
+        for j in range(1, m):
+            ones = np.concatenate((ones, ones + between[j, m]))
+        cut = np.concatenate((cut + ones, cut + (between[:m, m].sum() - ones)))
+    return cut
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +266,11 @@ def tl_rep3(b: BraidWord, p: BracketParams) -> np.ndarray:
         1: p.A * eye + U1(p.d) / p.A,
         2: p.A * eye + U2(p.d) / p.A,
     }
+    for g in {g for g in b.letters if g < 0}:
+        phi[g] = np.linalg.inv(phi[-g])
     m = eye
     for g in b.letters:
-        factor = phi[abs(g)]
-        if g < 0:
-            factor = np.linalg.inv(factor)
-        m = m @ factor
+        m = m @ phi[g]
     return m
 
 
@@ -356,34 +382,37 @@ def _closure_loops(diag: tuple[int, ...], n: int) -> int:
 
 
 def bracket_oracle(b: BraidWord, p: BracketParams) -> complex:
-    """Bracket state sum of the braid closure.
+    """Bracket state sum of the braid closure, as a transfer sum.
 
     Every positive letter resolves to the identity diagram with weight A
     or the hook e_i with weight A^(-1) (weights swapped for negative
-    letters).  Each of the 2^L states composes to a planar diagram whose
-    closure contributes weight * d^(loops - 1), matching the convention
-    that the n-strand identity braid evaluates to d^(n-1).
+    letters).  Smoothings that compose to the same planar diagram are
+    summed as they arise, so a map from diagram to summed weight replaces
+    the 2^L states; at the end each closure contributes
+    weight * d^(loops - 1), matching the convention that the n-strand
+    identity braid evaluates to d^(n-1).
     """
-    L = len(b.letters)
-    if L > MAX_ORACLE_LETTERS:
-        raise GuardError(f"{L} letters exceed the state-sum guard ({MAX_ORACLE_LETTERS})")
-    n = b.n
-    total = 0j
+    n, L = b.n, len(b.letters)
+    # min(2^L, Catalan(n)) diagrams at most are live; Catalan(n) < 4^n, so
+    # capping L at 2n keeps the minimum and keeps 2^L small for long words
+    bound = min(1 << min(L, 2 * n), math.comb(2 * n, n) // (n + 1))
+    if bound > MAX_ORACLE_DIAGRAMS:
+        raise GuardError(
+            f"{bound} planar diagrams exceed the state-sum guard ({MAX_ORACLE_DIAGRAMS})"
+        )
     hooks = {i: _cupcap_diagram(n, i) for i in range(n - 1)}
-    ident = _identity_diagram(n)
-    for bits in product((0, 1), repeat=L):
-        diag = ident
-        extra_loops = 0
-        weight = 1.0 + 0j
-        for g, bit in zip(b.letters, bits):
-            i = abs(g) - 1
-            if bit == 0:
-                piece, w = ident, (p.A if g > 0 else 1 / p.A)
-            else:
-                piece, w = hooks[i], (1 / p.A if g > 0 else p.A)
-            weight *= w
-            diag, loops = _compose(diag, piece, n)
-            extra_loops += loops
-        loops = extra_loops + _closure_loops(diag, n)
-        total += weight * p.d ** (loops - 1)
+    inv_A = 1 / p.A
+    weights = {_identity_diagram(n): 1.0 + 0j}
+    for g in b.letters:
+        keep, hook = (p.A, inv_A) if g > 0 else (inv_A, p.A)
+        piece = hooks[abs(g) - 1]
+        step: dict[tuple[int, ...], complex] = {}
+        for diag, w in weights.items():
+            step[diag] = step.get(diag, 0j) + w * keep
+            joined, loops = _compose(diag, piece, n)
+            step[joined] = step.get(joined, 0j) + w * hook * p.d**loops
+        weights = step
+    total = 0j
+    for diag, w in weights.items():
+        total += w * p.d ** (_closure_loops(diag, n) - 1)
     return complex(total)

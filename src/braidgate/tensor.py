@@ -95,7 +95,10 @@ def matrix_to_json(a) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    dim = int(obj["dim"])
+    """Inverse of :func:`matrix_to_json`; ``dim`` must be a positive int."""
+    dim = obj["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ValueError(f"dim must be a positive integer, got {dim!r}")
     entries = obj["entries"]
     if len(entries) != dim * dim:
         raise ValueError(f"expected {dim * dim} entries, got {len(entries)}")

@@ -17,6 +17,7 @@ from braidgate import (
     residual,
     tl_rep3,
 )
+from statesum_oracles import ORACLE_RTOL, bracket_enumerated, bracket_terms, random_weight
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -29,6 +30,12 @@ def _random_word3(rng, max_len):
     length = int(rng.integers(1, max_len + 1))
     letters = [int(rng.choice([-2, -1, 1, 2])) for _ in range(length)]
     return BraidWord(3, tuple(letters))
+
+
+def _random_word(rng, n, max_len):
+    length = int(rng.integers(0, max_len + 1))
+    letters = [int(rng.integers(1, n)) * int(rng.choice([-1, 1])) for _ in range(length)]
+    return BraidWord(n, tuple(letters))
 
 
 def test_parameter_constructors_agree():
@@ -124,10 +131,36 @@ def test_bracket_matches_the_state_sum(seed):
     assert abs(bracket3(b, p) - bracket_oracle(b, p)) <= tol
 
 
-def test_oracle_word_length_guard():
+def test_oracle_diagram_guard():
+    """The transfer sum refuses only when min(2^L, Catalan(n)) passes 2^16:
+    at n = 12 there are 208,012 diagrams, so 17 letters are refused."""
     p = BracketParams.from_theta(0.2)
     with pytest.raises(GuardError):
-        bracket_oracle(BraidWord(3, (1,) * 17), p)
+        bracket_oracle(BraidWord(12, (1,) * 17), p)
+    bracket_oracle(BraidWord(12, (1,) * 16), p)
+
+
+def test_oracle_long_three_strand_word():
+    """At n = 3 at most Catalan(3) = 5 diagrams are live, so the transfer
+    sum takes words far past the 2^L enumeration; inside the unitary
+    window bracket3 stays accurate at 200 letters."""
+    rng = np.random.default_rng(200)
+    b = BraidWord(3, tuple(int(g) for g in rng.choice([-2, -1, 1, 2], 200)))
+    p = BracketParams.from_theta(0.2)
+    assert abs(bracket3(b, p) - bracket_oracle(b, p)) <= 1e-12
+
+
+@given(seeds, st.booleans())
+def test_transfer_sum_matches_the_enumeration(seed, unit):
+    """The transfer sum against the 2^L smoothing enumeration, n <= 5 and
+    L <= 10, A on and off the unit circle.  Both round only in products and
+    sums, so their gap is bounded relative to the sum of |term|."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    b = _random_word(rng, n, 10)
+    p = BracketParams.from_A(random_weight(rng, unit))
+    scale = sum(abs(t) for t in bracket_terms(b, p))
+    assert abs(bracket_oracle(b, p) - bracket_enumerated(b, p)) <= ORACLE_RTOL * scale
 
 
 def test_mirror_words_are_conjugate_values():

@@ -89,6 +89,21 @@ def test_ybe_matrix_file(runner, tmp_path):
     assert invoke(runner, "ybe", "--matrix-file", str(bad)).exit_code == 2
 
 
+@pytest.mark.parametrize("dim, count", [(0, 0), (2.5, 4)])
+def test_every_verb_rejects_a_matrix_file_with_a_bad_dim(runner, tmp_path, dim, count):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dim": dim, "entries": [[1.0, 0.0]] * count}))
+    for argv in (
+        ["ybe"],
+        ["gate", "--classify"],
+        ["sim", "trace"],
+        ["sim", "teleport", "--n", "1", "--gate", "I2"],
+    ):
+        result = invoke(runner, *argv, "--matrix-file", str(path))
+        assert result.exit_code == 2, argv
+        assert result.stdout == "", argv
+
+
 def test_ybe_needs_some_gate(runner):
     assert invoke(runner, "ybe").exit_code == 2
 
@@ -435,8 +450,8 @@ def test_output_is_deterministic(runner):
 
 # Valid values, malformed ones, and sizes past each guard.  Every size is
 # either small or rejected by a guard before anything is allocated: no
-# braid word has 6 to 12 strands or 11 to 16 letters, where a dense
-# representation or the bracket state sum would run at scale.
+# braid word has 6 to 12 strands, where a dense representation would run
+# at scale.
 _WORDS = [
     "1 -2 1", "n=3; 1 1", "n=2;", "n=4; 1 -3 2", "n=3; 1 -2 1 -2 1 -2", "",
     "1 x", "-1 2", "n=0;", "n=2; 5", "n=x; 1", "n=13; 1", "n=22; 1", "n=300;",
@@ -462,6 +477,8 @@ _MATRIX_FILES = {
     "int_entries.json": '{"dim": 2, "entries": 5}',
     "string_entries.json": '{"dim": 1, "entries": [["a", "b"]]}',
     "infinite_dim.json": '{"dim": 1e999, "entries": []}',
+    "zero_dim.json": '{"dim": 0, "entries": []}',
+    "fractional_dim.json": '{"dim": 2.5, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}',
     "deep.json": "[" * 100_000,
 }
 _MATRIX_OPTION = ("--matrix-file", sorted(_MATRIX_FILES))

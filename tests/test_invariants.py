@@ -20,6 +20,7 @@ from braidgate import (
     tau,
     tau_equivalent,
 )
+from statesum_oracles import ORACLE_RTOL, linking_enumerated, linking_terms, random_weight
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -196,6 +197,21 @@ def test_state_sum_guards():
         linking_state_sum(link_word("hopf"), 1.0, 0.0)
     with pytest.raises(GuardError):
         linking_state_sum(BraidWord(21, ()), 1.0, 1.0)
+
+
+@given(seeds, st.booleans())
+def test_histogram_matches_the_labeling_loop(seed, unit):
+    """The cut-count histogram against the per-labeling loop over all 2^k
+    labelings, k <= 10, with unit and with general nonzero weights."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 11))
+    b = _random_word(rng, n, 24, min_len=0) if n > 1 else BraidWord(1, ())
+    a, c = random_weight(rng, unit), random_weight(rng, unit)
+    scale = sum(abs(t) for t in linking_terms(b, a, c))
+    sigma, z = linking_state_sum(b, a, c)
+    sigma_loop, z_loop = linking_enumerated(b, a, c)
+    assert abs(sigma - sigma_loop) <= ORACLE_RTOL * scale
+    assert abs(z - z_loop) <= ORACLE_RTOL * abs(a ** -b.writhe) * scale
 
 
 def test_state_sum_matches_linking_numbers():

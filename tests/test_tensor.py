@@ -134,3 +134,13 @@ def test_matrix_json_round_trip():
 def test_matrix_from_json_length_check():
     with pytest.raises(ValueError):
         matrix_from_json({"dim": 2, "entries": [[1.0, 0.0]] * 3})
+
+
+@pytest.mark.parametrize(
+    "dim, count", [(0, 0), (2.5, 4), (True, 1), ("4", 16), (-1, 1), (4.0, 16)]
+)
+def test_matrix_from_json_rejects_a_dim_that_is_not_a_positive_int(dim, count):
+    """A dim that int() would coerce (2.5 -> 2, true -> 1, "4" -> 4) or that
+    names an empty matrix is refused, whatever the entries."""
+    with pytest.raises(ValueError):
+        matrix_from_json({"dim": dim, "entries": [[1.0, 0.0]] * count})
